@@ -4,8 +4,8 @@
 // a small set of distinct (platform, T_max) points — the shape a thermal
 // management daemon sees in production, where the same operating points
 // recur every control epoch.  The serial baseline answers every request
-// with a fresh planner run (plan_direct); the service answers through the
-// worker pool + sharded LRU cache.
+// with a fresh planner run (plan_direct); the service answers through
+// executor jobs (at most `workers` at once) + sharded LRU cache.
 //
 // Acceptance gate (ISSUE 3, enforced by --smoke in CI and checked on every
 // full run):

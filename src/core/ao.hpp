@@ -60,12 +60,14 @@ struct AoOptions {
   /// Changes per-candidate arithmetic order, so results may differ from the
   /// reference engine in the last ulps — the serve cache hashes this knob.
   sim::EvalEngine eval_engine = sim::EvalEngine::kModal;
-  /// Worker threads for the m-search window and the TPT candidate scan.
-  /// 0 = automatic: one per hardware thread when the platform is large
-  /// enough for fan-out to amortize thread spawns (>= 32 thermal nodes),
-  /// serial otherwise.  The thread count never changes the chosen plan:
-  /// candidates are evaluated independently and reduced in deterministic
-  /// index order, so any value yields bit-identical results.
+  /// Chunks the m-search window and the TPT candidate scan split into, run
+  /// on the process-wide executor (util/executor.hpp); 1 = serial.
+  /// 0 = the executor decides: chunks are sized from the scan's work
+  /// (candidates × thermal nodes²) and only idle executor workers help, so
+  /// a small scan or a busy process stays on the calling thread.  The
+  /// value never changes the chosen plan: candidates are evaluated
+  /// independently and reduced in deterministic index order, so any value
+  /// yields bit-identical results.
   unsigned scan_threads = 0;
   /// Cooperative cancellation (util/cancel.hpp).  Polled *between*
   /// candidate evaluations in the m-search and TPT scans — never inside the

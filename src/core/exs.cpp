@@ -1,5 +1,6 @@
 #include "core/exs.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -22,6 +23,13 @@ constexpr std::uint64_t kRefreshInterval = 4096;
 /// per-candidate arithmetic, frequent enough that a fired token stops every
 /// chunk within a few milliseconds.
 constexpr std::uint64_t kCancelCheckInterval = 4096;
+
+/// Enumeration chunking: at least this many candidates per chunk (a chunk
+/// walks them in tens of microseconds, longer than waking an executor
+/// worker), and at most kMaxChunks chunks.  Any chunking yields the same
+/// winner (see the exact-confirm note below).
+constexpr std::uint64_t kChunkCandidates = 4096;
+constexpr std::uint64_t kMaxChunks = 256;
 
 struct Candidate {
   double throughput = -1.0;
@@ -80,10 +88,10 @@ SchedulerResult run_exs(const Platform& platform, double t_max_c,
   const linalg::simd::Kernels& kern = linalg::simd::kernels();
 
   const bool modal = options.eval_engine == sim::EvalEngine::kModal;
-  const unsigned threads =
-      options.threads == 0 ? hardware_parallelism() : options.threads;
-  const std::size_t chunks = std::min<std::uint64_t>(
-      total, std::max<std::uint64_t>(1, threads * 4ull));
+  // Enumeration chunks are sized from the work alone; `threads` only
+  // groups them for the reduction and goes through to the executor.
+  const auto chunks = static_cast<std::size_t>(
+      std::clamp<std::uint64_t>(total / kChunkCandidates, 1, kMaxChunks));
   const std::uint64_t chunk_size = (total + chunks - 1) / chunks;
 
   const Candidate best = parallel_reduce(
@@ -174,7 +182,7 @@ SchedulerResult run_exs(const Platform& platform, double t_max_c,
       [](Candidate a, const Candidate& b) {
         return b.better_than(a) ? b : a;
       },
-      threads);
+      options.threads);
   if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
 
   SchedulerResult result;

@@ -23,7 +23,10 @@ struct ExsOptions {
   /// 9-core x 15-level space is ~38e9 candidates; the guard turns an
   /// accidental multi-hour run into an error the caller can handle.
   std::uint64_t max_candidates = 200'000'000;
-  unsigned threads = 0;  ///< 0 = hardware default
+  /// Chunks the candidate reduction is grouped into, run on the
+  /// process-wide executor; 0 = the executor decides, as for
+  /// AoOptions::scan_threads.  Never changes the result.
+  unsigned threads = 0;
   /// kModal evaluates candidates incrementally: one precomputed steady
   /// contribution column per changed odometer digit (amortized O(N) per
   /// candidate, with a periodic full recompute bounding drift) instead of

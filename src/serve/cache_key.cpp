@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cmath>
+#include <mutex>
+#include <unordered_map>
 
 namespace foscil::serve {
 
@@ -118,8 +120,38 @@ void mix_ao_options(KeyHasher& hasher, const core::AoOptions& ao) {
 
 }  // namespace
 
+CacheKey memoized_model_fingerprint(
+    const std::shared_ptr<const thermal::ThermalModel>& model) {
+  FOSCIL_EXPECTS(model != nullptr);
+  struct Memo {
+    std::mutex mutex;
+    std::unordered_map<const thermal::ThermalModel*,
+                       std::pair<std::weak_ptr<const thermal::ThermalModel>,
+                                 CacheKey>>
+        digests;  // guarded by mutex
+  };
+  // Leaked on purpose, like the executor: callers on executor threads may
+  // still key requests while static destructors run.
+  static Memo* const memo = new Memo();
+  const std::lock_guard<std::mutex> lock(memo->mutex);
+  const auto it = memo->digests.find(model.get());
+  if (it != memo->digests.end() && !it->second.first.expired())
+    return it->second.second;
+  const CacheKey fp = model_fingerprint(*model);
+  // Bound the memo: drop dead entries once it grows past a few hundred
+  // models (a serving process typically hosts a handful).
+  if (memo->digests.size() > 512) {
+    for (auto entry = memo->digests.begin(); entry != memo->digests.end();) {
+      entry = entry->second.first.expired() ? memo->digests.erase(entry)
+                                            : std::next(entry);
+    }
+  }
+  memo->digests[model.get()] = {model, fp};
+  return fp;
+}
+
 CacheKey platform_fingerprint(const core::Platform& platform) {
-  const CacheKey model_fp = model_fingerprint(*platform.model);
+  const CacheKey model_fp = memoized_model_fingerprint(platform.model);
   KeyHasher hasher;
   hasher.mix(model_fp.hi).mix(model_fp.lo);
   mix_platform_tail(hasher, platform);
@@ -152,8 +184,8 @@ CacheKey plan_key(const CacheKey& model_fp, const core::Platform& platform,
 CacheKey plan_key(const core::Platform& platform, double t_max_c,
                   PlannerKind kind, const core::AoOptions& ao,
                   const core::PcoOptions& pco, bool degraded) {
-  return plan_key(model_fingerprint(*platform.model), platform, t_max_c,
-                  kind, ao, pco, degraded);
+  return plan_key(memoized_model_fingerprint(platform.model), platform,
+                  t_max_c, kind, ao, pco, degraded);
 }
 
 }  // namespace foscil::serve

@@ -11,13 +11,13 @@
 #include <sys/epoll.h>
 #endif
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <future>
 #include <iostream>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +29,9 @@ namespace foscil::serve::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Longest the event loop sleeps with nothing to do.
+constexpr int kLoopTickMs = 25;
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -287,16 +290,45 @@ struct PlanServer::Impl {
         draining(draining_flag),
         membership(options.membership, {}, mono_seconds()) {}
 
-  struct Pending {
-    std::uint64_t request_id = 0;
-    std::future<PlanResponse> future;
+  /// Finished plan requests, handed from the service's completion
+  /// callbacks to the loop.  Every callback holds the inbox, so a plan that
+  /// finishes after the server is gone lands in a closed inbox, never in a
+  /// dead server.
+  struct Inbox {
+    struct Entry {
+      int fd = -1;
+      std::uint64_t connection = 0;  ///< Connection::id at submit
+      std::uint64_t request_id = 0;
+      PlanOutcome outcome;
+    };
+    std::mutex mutex;
+    std::vector<Entry> entries;  // guarded by mutex
+    /// The wake pipe's write end; -1 before listen() and once the server
+    /// is destroyed.
+    int wake_fd = -1;             // guarded by mutex
+    std::thread::id loop_thread;  // guarded by mutex
+
+    /// Called from the service: inline on the loop thread for a cache hit,
+    /// on an executor thread once a plan finishes.
+    void deliver(Entry entry) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (wake_fd < 0) return;
+      entries.push_back(std::move(entry));
+      // The loop drains the inbox at the end of every pass, so only a
+      // completion from another thread into an empty inbox must wake it.
+      if (entries.size() == 1 && std::this_thread::get_id() != loop_thread) {
+        const char byte = 'c';
+        [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
+      }
+    }
   };
 
   struct Connection {
     int fd = -1;
+    std::uint64_t id = 0;  ///< unique per accept; fds are reused
     FrameAssembler assembler;
     std::string out;
-    std::deque<Pending> pending;
+    std::size_t in_flight = 0;  ///< plan requests submitted, not answered
     Clock::time_point last_read{};
     Clock::time_point last_write_progress{};
     Clock::time_point partial_since{};
@@ -317,7 +349,9 @@ struct PlanServer::Impl {
   int listen_fd = -1;
   int wake_read = -1;
   int wake_write = -1;
+  std::shared_ptr<Inbox> inbox = std::make_shared<Inbox>();
   std::unordered_map<int, Connection> conns;
+  std::uint64_t next_connection_id = 0;
   std::atomic<bool> stop{false};
   std::atomic<bool> drain_requested{false};
   std::atomic<std::size_t> open_connections{0};
@@ -405,7 +439,7 @@ struct PlanServer::Impl {
     // immediately and in-flight answers are dropped (they have no valid
     // stream to land on).
     conn.condemned = true;
-    conn.pending.clear();
+    conn.in_flight = 0;
     poller.update(conn.fd, false, true);
   }
 
@@ -435,6 +469,7 @@ struct PlanServer::Impl {
       auto [it, inserted] =
           conns.emplace(fd, Connection(options.max_body_bytes));
       it->second.fd = fd;
+      it->second.id = ++next_connection_id;
       it->second.last_read = now;
       it->second.last_write_progress = now;
       poller.add(fd, true, false);
@@ -593,7 +628,7 @@ struct PlanServer::Impl {
                      "t_max_c at or below ambient", now);
       return;
     }
-    if (conn.pending.size() >= in_flight_cap()) {
+    if (conn.in_flight >= in_flight_cap()) {
       enqueue_status(conn, frame.request_id, StatusCode::kShed,
                      service.stats().retry_after_hint_s,
                      "per-connection in-flight limit", now);
@@ -608,10 +643,13 @@ struct PlanServer::Impl {
     request.pco = wire.pco;
     request.deadline_s = wire.deadline_s;
     try {
-      Pending pending;
-      pending.request_id = frame.request_id;
-      pending.future = service.submit(std::move(request));
-      conn.pending.push_back(std::move(pending));
+      service.submit(std::move(request),
+                     [inbox = inbox, fd = conn.fd, connection = conn.id,
+                      request_id = frame.request_id](PlanOutcome outcome) {
+                       inbox->deliver(
+                           {fd, connection, request_id, std::move(outcome)});
+                     });
+      ++conn.in_flight;
       requests.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& error) {
       enqueue_status(conn, frame.request_id, status_code_of(error),
@@ -913,35 +951,44 @@ struct PlanServer::Impl {
 
   // ---- completion and writes ---------------------------------------------
 
-  void pump_futures(Clock::time_point now) {
+  /// Answer every request the inbox holds, in completion order.
+  void pump_completions(Clock::time_point now) {
+    std::vector<Inbox::Entry> done;
+    {
+      const std::lock_guard<std::mutex> lock(inbox->mutex);
+      done.swap(inbox->entries);
+    }
     std::vector<int> overflowed;
-    for (auto& [fd, conn] : conns) {
-      for (auto it = conn.pending.begin(); it != conn.pending.end();) {
-        if (it->future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
-          ++it;
-          continue;
-        }
-        const std::uint64_t request_id = it->request_id;
-        try {
-          const PlanResponse response = it->future.get();
-          WirePlanResponse wire;
-          wire.cache_hit = response.cache_hit;
-          wire.degraded = response.plan->degraded;
-          wire.server_seconds = response.total_seconds;
-          wire.plan = *response.plan;
-          enqueue_frame(conn, FrameType::kPlanResponse, request_id,
-                        encode_plan_response(wire), now);
-          responses.fetch_add(1, std::memory_order_relaxed);
-        } catch (const std::exception& error) {
-          enqueue_status(conn, request_id, status_code_of(error),
-                         retry_after_of(error), error.what(), now);
-        }
-        it = conn.pending.erase(it);
+    for (Inbox::Entry& entry : done) {
+      const auto it = conns.find(entry.fd);
+      // Closed, condemned, or the fd now belongs to a newer connection:
+      // the answer has no stream to land on.
+      if (it == conns.end() || it->second.id != entry.connection ||
+          it->second.condemned)
+        continue;
+      Connection& conn = it->second;
+      --conn.in_flight;
+      try {
+        if (entry.outcome.error) std::rethrow_exception(entry.outcome.error);
+        const PlanResponse& response = entry.outcome.response;
+        WirePlanResponse wire;
+        wire.cache_hit = response.cache_hit;
+        wire.degraded = response.plan->degraded;
+        wire.server_seconds = response.total_seconds;
+        wire.plan = *response.plan;
+        enqueue_frame(conn, FrameType::kPlanResponse, entry.request_id,
+                      encode_plan_response(wire), now);
+        responses.fetch_add(1, std::memory_order_relaxed);
+      } catch (const std::exception& error) {
+        enqueue_status(conn, entry.request_id, status_code_of(error),
+                       retry_after_of(error), error.what(), now);
       }
       if (conn.out.size() > options.max_outbound_bytes)
-        overflowed.push_back(fd);
+        overflowed.push_back(entry.fd);
     }
+    std::sort(overflowed.begin(), overflowed.end());
+    overflowed.erase(std::unique(overflowed.begin(), overflowed.end()),
+                     overflowed.end());
     for (const int fd : overflowed) {
       // A reader this slow would grow the buffer without bound; treat it
       // like any other stalled peer.
@@ -980,7 +1027,7 @@ struct PlanServer::Impl {
           seconds_between(conn.last_write_progress, now) >
               options.write_stall_timeout_s;
       const bool idle =
-          options.idle_timeout_s > 0.0 && conn.pending.empty() &&
+          options.idle_timeout_s > 0.0 && conn.in_flight == 0 &&
           conn.out.empty() &&
           seconds_between(conn.last_read, now) > options.idle_timeout_s;
       if (read_stalled || write_stalled || idle) expired.push_back(fd);
@@ -993,15 +1040,12 @@ struct PlanServer::Impl {
 
   // ---- loop ---------------------------------------------------------------
 
-  int loop_timeout_ms(bool drain_engaged) const {
-    for (const auto& [fd, conn] : conns)
-      if (!conn.pending.empty()) return 2;  // futures resolve off-loop
-    if (drain_engaged) return 2;
-    return 25;
-  }
-
   void run_loop(const std::function<bool()>& external_drain) {
     FOSCIL_EXPECTS(listen_fd >= 0);  // listen() first
+    {
+      const std::lock_guard<std::mutex> lock(inbox->mutex);
+      inbox->loop_thread = std::this_thread::get_id();
+    }
 
     // Warm-up sequencing: the socket is already open (peers connect and
     // wait in the listen backlog), the restore attempt runs, then READY
@@ -1042,11 +1086,14 @@ struct PlanServer::Impl {
       if (drain_engaged) {
         bool quiet = true;
         for (const auto& [fd, conn] : conns)
-          if (!conn.pending.empty() || !conn.out.empty()) quiet = false;
+          if (conn.in_flight > 0 || !conn.out.empty()) quiet = false;
         if (quiet) break;
       }
 
-      poller.wait(events, loop_timeout_ms(drain_engaged));
+      // Finished plans and drain requests wake the loop through the wake
+      // pipe; the tick only bounds how late timeouts and an external drain
+      // flag are noticed.
+      poller.wait(events, kLoopTickMs);
       const Clock::time_point now = Clock::now();
 
       for (const IoEvent& event : events) {
@@ -1073,7 +1120,7 @@ struct PlanServer::Impl {
         if (!alive) close_connection(event.fd);
       }
 
-      pump_futures(now);
+      pump_completions(now);
       enforce_timeouts(now);
     }
 
@@ -1117,6 +1164,11 @@ PlanServer::~PlanServer() {
   impl.stop_handoff_thread();
   for (auto& [fd, conn] : impl.conns) ::close(fd);
   impl.conns.clear();
+  {
+    // Plans still running in the service finish into a closed inbox.
+    const std::lock_guard<std::mutex> lock(impl.inbox->mutex);
+    impl.inbox->wake_fd = -1;
+  }
   if (impl.listen_fd >= 0) ::close(impl.listen_fd);
   if (impl.wake_read >= 0) ::close(impl.wake_read);
   if (impl.wake_write >= 0) ::close(impl.wake_write);
@@ -1134,6 +1186,10 @@ std::uint16_t PlanServer::listen() {
   impl.wake_write = pipe_fds[1];
   set_nonblocking(impl.wake_read);
   set_nonblocking(impl.wake_write);
+  {
+    const std::lock_guard<std::mutex> lock(impl.inbox->mutex);
+    impl.inbox->wake_fd = impl.wake_write;
+  }
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0)

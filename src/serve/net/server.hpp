@@ -2,9 +2,11 @@
 //
 // One thread multiplexes every connection with epoll (level-triggered;
 // a portable poll(2) backend is selectable for non-Linux builds and for
-// testing the fallback), while the PlanningService's worker pool does the
-// actual planning — the loop only parses frames, submits requests, and
-// flushes completed futures back out.  Robustness contract:
+// testing the fallback), while the PlanningService plans on the executor —
+// the loop only parses frames, submits requests, and writes answers back
+// out.  A cache hit is answered in the same loop pass that read it; a
+// planned answer arrives through the service's completion callback, which
+// wakes the loop over its wake pipe.  Robustness contract:
 //
 //   * every inbound byte runs through the strict FrameAssembler; a
 //     malformed, oversized, version-skewed, or checksum-failing stream is
@@ -166,7 +168,8 @@ class PlanServer {
   void begin_drain();
 
   /// Hard stop: run() returns as soon as the loop notices (in-flight
-  /// futures are abandoned to the service, connections closed).
+  /// plans finish in the service, their answers are dropped, connections
+  /// closed).
   void shutdown();
 
   void set_ready(bool ready);

@@ -10,7 +10,7 @@
 #include "core/audit.hpp"
 #include "serve/snapshot.hpp"
 #include "util/cancel.hpp"
-#include "util/parallel_for.hpp"
+#include "util/executor.hpp"
 
 namespace foscil::serve {
 
@@ -60,7 +60,7 @@ struct InFlightRequest {
   CancelToken token;
 
   struct Waiter {
-    std::promise<PlanResponse> promise;
+    PlanCallback done;
     bool coalesced = false;
     bool has_deadline = false;
     Clock::time_point deadline{};
@@ -77,7 +77,6 @@ struct PlanningService::Impl {
   OverloadController overload;
   CircuitBreaker breaker;
 
-  std::mutex mutex;
   std::mutex stop_mutex;  ///< serializes stop() callers; never nested
   /// Serializes every snapshot writer (periodic flusher, stop()'s final
   /// flush, explicit save_snapshot_file callers).  All writers stage
@@ -86,17 +85,20 @@ struct PlanningService::Impl {
   /// writers on that tmp file and can publish a corrupt snapshot.  Never
   /// held together with `mutex` or `stop_mutex`.
   std::mutex flush_mutex;
-  std::size_t worker_count = 0;
-  std::condition_variable work_ready;
+  bool final_flush_done = false;  ///< guarded by stop_mutex
+  std::size_t worker_count = 0;   ///< cap on running jobs; set once
+
+  std::mutex mutex;  ///< guards everything down to queue_peak
   std::condition_variable snapshot_tick;  ///< wakes the snapshot flusher
+  std::condition_variable idle;           ///< running reached 0
   std::deque<std::shared_ptr<InFlightRequest>> queue;
   // Keyed by canonical request hash: an identical concurrent miss attaches
   // here instead of planning twice.  Entries stay until the plan (or its
   // failure) has been delivered, so attachment is race-free.
   std::unordered_map<CacheKey, std::shared_ptr<InFlightRequest>, CacheKeyHash>
       in_flight;
+  std::size_t running = 0;  ///< jobs posted to the executor, not finished
   bool stopping = false;
-  bool final_flush_done = false;  ///< guarded by stop_mutex
   std::size_t queue_peak = 0;
 
   // Identification state carried by snapshots: set by set_identify_state,
@@ -104,17 +106,6 @@ struct PlanningService::Impl {
   std::mutex identify_mutex;
   std::optional<core::IdentifyState> identify;
   std::optional<core::IdentifyState> loaded_identify;
-
-  // Lazily-initialized, mutex-guarded memo of model content fingerprints.
-  // ThermalModel itself has no lazy caches (everything is eager and
-  // immutable, see thermal/model.hpp) — this is the one lazy cache in the
-  // serving stack, keyed by model identity with a weak_ptr guard against
-  // address reuse after a model dies.
-  std::mutex fingerprint_mutex;
-  std::unordered_map<const thermal::ThermalModel*,
-                     std::pair<std::weak_ptr<const thermal::ThermalModel>,
-                               CacheKey>>
-      fingerprints;
 
   std::atomic<std::uint64_t> submitted{0};
   std::atomic<std::uint64_t> fast_path_hits{0};
@@ -151,24 +142,15 @@ struct PlanningService::Impl {
     ewma_plan_seconds.store(next, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] CacheKey memoized_model_fingerprint(
-      const std::shared_ptr<const thermal::ThermalModel>& model) {
-    FOSCIL_EXPECTS(model != nullptr);
-    const std::lock_guard<std::mutex> lock(fingerprint_mutex);
-    auto it = fingerprints.find(model.get());
-    if (it != fingerprints.end() && !it->second.first.expired())
-      return it->second.second;
-    const CacheKey fp = model_fingerprint(*model);
-    // Bound the memo: drop dead entries once it grows past a few hundred
-    // models (a serving process typically hosts a handful).
-    if (fingerprints.size() > 512) {
-      for (auto entry = fingerprints.begin(); entry != fingerprints.end();) {
-        entry = entry->second.first.expired() ? fingerprints.erase(entry)
-                                              : std::next(entry);
-      }
-    }
-    fingerprints[model.get()] = {model, fp};
-    return fp;
+  /// The oldest queued job, when fewer than worker_count jobs run; claims
+  /// its slot.  Requires `mutex`; the caller starts the job after
+  /// unlocking.
+  [[nodiscard]] std::shared_ptr<InFlightRequest> claim_next() {
+    if (running >= worker_count || queue.empty()) return nullptr;
+    std::shared_ptr<InFlightRequest> job = std::move(queue.front());
+    queue.pop_front();
+    ++running;
+    return job;
   }
 };
 
@@ -190,9 +172,7 @@ PlanningService::PlanningService(ServiceOptions options)
   const unsigned workers =
       options.workers == 0 ? hardware_parallelism() : options.workers;
   impl_->worker_count = workers;
-  threads_.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w)
-    threads_.emplace_back([this] { worker_loop(); });
+  Executor::instance().reserve(workers);
   if (!options.snapshot_path.empty() && options.snapshot_period_s > 0.0)
     snapshot_thread_ = std::thread([this] { snapshot_loop(); });
 }
@@ -202,16 +182,16 @@ PlanningService::~PlanningService() { stop(); }
 void PlanningService::stop() {
   const std::lock_guard<std::mutex> stop_lock(impl_->stop_mutex);
   {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
+    std::unique_lock<std::mutex> lock(impl_->mutex);
     impl_->stopping = true;
+    // Every admitted request is answered, never dropped: each finishing
+    // job starts the next queued one, so running reaches 0 only once the
+    // queue is empty too.
+    impl_->idle.wait(lock, [this] { return impl_->running == 0; });
   }
-  impl_->work_ready.notify_all();
   impl_->snapshot_tick.notify_all();
-  for (std::thread& thread : threads_)
-    if (thread.joinable()) thread.join();
-  threads_.clear();
   if (snapshot_thread_.joinable()) snapshot_thread_.join();
-  // Final flush after the workers have drained, so the snapshot sees every
+  // Final flush after the jobs have drained, so the snapshot sees every
   // plan the service admitted.  Best-effort: a full disk must not turn
   // shutdown into a crash.
   if (!impl_->options.snapshot_path.empty() && !impl_->final_flush_done) {
@@ -226,30 +206,46 @@ void PlanningService::stop() {
 }
 
 std::future<PlanResponse> PlanningService::submit(PlanRequest request) {
+  auto promise = std::make_shared<std::promise<PlanResponse>>();
+  std::future<PlanResponse> future = promise->get_future();
+  submit(std::move(request), [promise](PlanOutcome outcome) {
+    if (outcome.error)
+      promise->set_exception(std::move(outcome.error));
+    else
+      promise->set_value(std::move(outcome.response));
+  });
+  return future;
+}
+
+void PlanningService::submit(PlanRequest request, PlanCallback on_done) {
+  FOSCIL_EXPECTS(on_done != nullptr);
   Impl& impl = *impl_;
   impl.submitted.fetch_add(1, std::memory_order_relaxed);
   const Clock::time_point now = Clock::now();
 
   const CacheKey model_fp =
-      impl.memoized_model_fingerprint(request.platform.model);
+      memoized_model_fingerprint(request.platform.model);
   const CacheKey full_key =
       plan_key(model_fp, request.platform, request.t_max_c, request.kind,
                request.ao, request.pco);
+
+  // A hit is answered inline, on the caller's thread.
+  const auto answer_hit = [&](std::shared_ptr<const ServedPlan> hit) {
+    impl.fast_path_hits.fetch_add(1, std::memory_order_relaxed);
+    impl.completed.fetch_add(1, std::memory_order_relaxed);
+    PlanOutcome outcome;
+    outcome.response.plan = std::move(hit);
+    outcome.response.cache_hit = true;
+    outcome.response.total_seconds = seconds_between(now, Clock::now());
+    on_done(std::move(outcome));
+  };
 
   // Fast path: a full-quality hit costs one fingerprint hash and one shard
   // lookup, and is served in every ladder state — degradation and load
   // shedding only gate *planning*, never cached answers.
   if (std::shared_ptr<const ServedPlan> hit = cache_.lookup(full_key)) {
-    impl.fast_path_hits.fetch_add(1, std::memory_order_relaxed);
-    impl.completed.fetch_add(1, std::memory_order_relaxed);
-    PlanResponse response;
-    response.plan = std::move(hit);
-    response.cache_hit = true;
-    response.total_seconds = seconds_between(now, Clock::now());
-    std::promise<PlanResponse> ready;
-    std::future<PlanResponse> future = ready.get_future();
-    ready.set_value(std::move(response));
-    return future;
+    answer_hit(std::move(hit));
+    return;
   }
 
   const double deadline_s = request.deadline_s >= 0.0
@@ -291,28 +287,21 @@ std::future<PlanResponse> PlanningService::submit(PlanRequest request) {
     key = plan_key(model_fp, request.platform, request.t_max_c, request.kind,
                    request.ao, request.pco, true);
     if (std::shared_ptr<const ServedPlan> hit = cache_.lookup(key)) {
-      impl.fast_path_hits.fetch_add(1, std::memory_order_relaxed);
       impl.degraded_served.fetch_add(1, std::memory_order_relaxed);
-      impl.completed.fetch_add(1, std::memory_order_relaxed);
-      PlanResponse response;
-      response.plan = std::move(hit);
-      response.cache_hit = true;
-      response.total_seconds = seconds_between(now, Clock::now());
-      std::promise<PlanResponse> ready;
-      std::future<PlanResponse> future = ready.get_future();
-      ready.set_value(std::move(response));
-      return future;
+      answer_hit(std::move(hit));
+      return;
     }
   }
 
   InFlightRequest::Waiter waiter;
+  waiter.done = std::move(on_done);
   waiter.submitted = now;
   waiter.has_deadline = has_deadline;
   if (has_deadline)
     waiter.deadline = now + std::chrono::duration_cast<Clock::duration>(
                                 std::chrono::duration<double>(deadline_s));
-  std::future<PlanResponse> future = waiter.promise.get_future();
 
+  std::shared_ptr<InFlightRequest> startable;
   {
     const std::lock_guard<std::mutex> lock(impl.mutex);
     if (impl.stopping) throw ServiceStoppedError();
@@ -329,7 +318,7 @@ std::future<PlanResponse> PlanningService::submit(PlanRequest request) {
       waiter.coalesced = true;
       impl.coalesced.fetch_add(1, std::memory_order_relaxed);
       in_flight->second->waiters.push_back(std::move(waiter));
-      return future;
+      return;
     }
     if (impl.queue.size() >= impl.options.queue_capacity) {
       impl.rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
@@ -354,125 +343,134 @@ std::future<PlanResponse> PlanningService::submit(PlanRequest request) {
     impl.in_flight.emplace(key, job);
     impl.queue.push_back(std::move(job));
     impl.queue_peak = std::max(impl.queue_peak, impl.queue.size());
+    startable = impl.claim_next();
   }
-  impl.work_ready.notify_one();
-  return future;
+  if (startable) start(std::move(startable));
 }
 
-void PlanningService::worker_loop() {
+void PlanningService::start(std::shared_ptr<InFlightRequest> job) {
+  // The job's slot is already counted in `running`, so stop() (and with it
+  // the destructor) waits for this task before the service goes away.
+  Executor::instance().post(
+      [this, job = std::move(job)] { run_job(job); });
+}
+
+void PlanningService::run_job(const std::shared_ptr<InFlightRequest>& job) {
   Impl& impl = *impl_;
-  for (;;) {
-    std::shared_ptr<InFlightRequest> job;
-    {
-      std::unique_lock<std::mutex> lock(impl.mutex);
-      impl.work_ready.wait(
-          lock, [&] { return impl.stopping || !impl.queue.empty(); });
-      // Drain the queue even when stopping: every admitted request is
-      // answered (with a plan or an error), never silently dropped.
-      if (impl.queue.empty()) return;
-      job = std::move(impl.queue.front());
-      impl.queue.pop_front();
-
-      const Clock::time_point now = Clock::now();
-      // Deadline triage under the lock: waiters whose budget has already
-      // passed are rejected before any planning happens.  New arrivals can
-      // still coalesce onto this job until it completes.
-      std::vector<InFlightRequest::Waiter> expired;
-      auto& waiters = job->waiters;
-      for (auto it = waiters.begin(); it != waiters.end();) {
-        if (it->has_deadline && it->deadline <= now) {
-          expired.push_back(std::move(*it));
-          it = waiters.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      const bool abandon = waiters.empty();
-      if (abandon) impl.in_flight.erase(job->key);
-      lock.unlock();
-
-      impl.expired_in_queue.fetch_add(
-          static_cast<std::uint64_t>(expired.size()),
-          std::memory_order_relaxed);
-      for (auto& waiter : expired)
-        waiter.promise.set_exception(
-            std::make_exception_ptr(DeadlineExpiredError()));
-      if (abandon) {
-        // The job may hold this key's half-open breaker trial; release it
-        // so the abandoned run cannot jam the breaker open forever.
-        impl.breaker.abandon_trial(job->key);
-        continue;  // nobody left to pay for this plan
+  const Clock::time_point started = Clock::now();
+  std::vector<InFlightRequest::Waiter> expired;
+  bool abandon = false;
+  {
+    const std::lock_guard<std::mutex> lock(impl.mutex);
+    // Deadline triage under the lock: waiters whose budget has already
+    // passed are rejected before any planning happens.  New arrivals can
+    // still coalesce onto this job until it completes.
+    auto& waiters = job->waiters;
+    for (auto it = waiters.begin(); it != waiters.end();) {
+      if (it->has_deadline && it->deadline <= started) {
+        expired.push_back(std::move(*it));
+        it = waiters.erase(it);
+      } else {
+        ++it;
       }
     }
+    abandon = waiters.empty();
+    if (abandon) impl.in_flight.erase(job->key);
+  }
+  impl.expired_in_queue.fetch_add(static_cast<std::uint64_t>(expired.size()),
+                                  std::memory_order_relaxed);
+  for (auto& waiter : expired)
+    waiter.done(PlanOutcome{{}, std::make_exception_ptr(DeadlineExpiredError())});
 
-    const Clock::time_point started = Clock::now();
-    // Re-probe the cache: an identical key can land between this job's
-    // admission and its pickup (the in-flight entry is erased only after
-    // the cache insert, so the window is tiny but real).
-    std::shared_ptr<const ServedPlan> plan = cache_.peek(job->key);
-    const bool served_from_cache = plan != nullptr;
-    std::exception_ptr error;
-    bool cancelled = false;
-    if (!plan) {
-      try {
-        impl.planned.fetch_add(1, std::memory_order_relaxed);
-        // Attach the shared token so the planner stops within one
-        // candidate evaluation once every waiter's deadline has passed
-        // (or the service is tearing the job down).
-        if (job->request.kind == PlannerKind::kAo)
-          job->request.ao.cancel = &job->token;
-        else
-          job->request.pco.ao.cancel = &job->token;
-        plan = plan_direct(job->request, job->degraded);
-        FOSCIL_ASSERT(plan->key == job->key);
-        cache_.insert(job->key, plan);
-        impl.breaker.record_success(job->key);
-        impl.note_plan_seconds(seconds_between(started, Clock::now()));
-      } catch (const CancelledError&) {
-        // Expected outcome, not a planner defect: no breaker strike, no
-        // `failed` count — but the trial (if any) must be released.
-        cancelled = true;
-        impl.breaker.abandon_trial(job->key);
-      } catch (const std::exception& e) {
-        error = std::current_exception();
-        impl.breaker.record_failure(job->key, e.what(), Clock::now());
-      } catch (...) {
-        error = std::current_exception();
-        impl.breaker.record_failure(job->key, "unknown planner error",
-                                    Clock::now());
-      }
-    }
+  if (abandon) {
+    // The job may hold this key's half-open breaker trial; release it so
+    // the abandoned run cannot jam the breaker open forever.  Nobody is
+    // left to pay for this plan.
+    impl.breaker.abandon_trial(job->key);
+  } else {
+    plan_and_answer(job, started);
+  }
 
-    std::vector<InFlightRequest::Waiter> waiters;
-    {
-      const std::lock_guard<std::mutex> lock(impl.mutex);
-      impl.in_flight.erase(job->key);
-      waiters = std::move(job->waiters);
+  std::shared_ptr<InFlightRequest> next;
+  {
+    const std::lock_guard<std::mutex> lock(impl.mutex);
+    --impl.running;
+    next = impl.claim_next();
+    if (impl.running == 0) impl.idle.notify_all();
+  }
+  if (next) start(std::move(next));
+}
+
+void PlanningService::plan_and_answer(
+    const std::shared_ptr<InFlightRequest>& job,
+    Clock::time_point started) {
+  Impl& impl = *impl_;
+  // Re-probe the cache: an identical key can land between this job's
+  // admission and its start (the in-flight entry is erased only after the
+  // cache insert, so the window is tiny but real).
+  std::shared_ptr<const ServedPlan> plan = cache_.peek(job->key);
+  const bool served_from_cache = plan != nullptr;
+  std::exception_ptr error;
+  bool cancelled = false;
+  if (!plan) {
+    try {
+      impl.planned.fetch_add(1, std::memory_order_relaxed);
+      // Attach the shared token so the planner stops within one candidate
+      // evaluation once every waiter's deadline has passed (or the service
+      // is tearing the job down).
+      if (job->request.kind == PlannerKind::kAo)
+        job->request.ao.cancel = &job->token;
+      else
+        job->request.pco.ao.cancel = &job->token;
+      plan = plan_direct(job->request, job->degraded);
+      FOSCIL_ASSERT(plan->key == job->key);
+      cache_.insert(job->key, plan);
+      impl.breaker.record_success(job->key);
+      impl.note_plan_seconds(seconds_between(started, Clock::now()));
+    } catch (const CancelledError&) {
+      // Expected outcome, not a planner defect: no breaker strike, no
+      // `failed` count — but the trial (if any) must be released.
+      cancelled = true;
+      impl.breaker.abandon_trial(job->key);
+    } catch (const std::exception& e) {
+      error = std::current_exception();
+      impl.breaker.record_failure(job->key, e.what(), Clock::now());
+    } catch (...) {
+      error = std::current_exception();
+      impl.breaker.record_failure(job->key, "unknown planner error",
+                                  Clock::now());
     }
-    const Clock::time_point finished = Clock::now();
-    for (auto& waiter : waiters) {
-      if (cancelled) {
-        impl.cancelled_mid_plan.fetch_add(1, std::memory_order_relaxed);
-        waiter.promise.set_exception(
-            std::make_exception_ptr(CancelledError()));
-        continue;
-      }
-      if (error) {
-        impl.failed.fetch_add(1, std::memory_order_relaxed);
-        waiter.promise.set_exception(error);
-        continue;
-      }
-      PlanResponse response;
-      response.plan = plan;
-      response.cache_hit = served_from_cache;
-      response.coalesced = waiter.coalesced;
-      response.queue_seconds = seconds_between(waiter.submitted, started);
-      response.total_seconds = seconds_between(waiter.submitted, finished);
-      impl.completed.fetch_add(1, std::memory_order_relaxed);
-      if (plan->degraded)
-        impl.degraded_served.fetch_add(1, std::memory_order_relaxed);
-      waiter.promise.set_value(std::move(response));
+  }
+
+  std::vector<InFlightRequest::Waiter> waiters;
+  {
+    const std::lock_guard<std::mutex> lock(impl.mutex);
+    impl.in_flight.erase(job->key);
+    waiters = std::move(job->waiters);
+  }
+  const Clock::time_point finished = Clock::now();
+  for (auto& waiter : waiters) {
+    if (cancelled) {
+      impl.cancelled_mid_plan.fetch_add(1, std::memory_order_relaxed);
+      waiter.done(PlanOutcome{{}, std::make_exception_ptr(CancelledError())});
+      continue;
     }
+    if (error) {
+      impl.failed.fetch_add(1, std::memory_order_relaxed);
+      waiter.done(PlanOutcome{{}, error});
+      continue;
+    }
+    PlanOutcome outcome;
+    outcome.response.plan = plan;
+    outcome.response.cache_hit = served_from_cache;
+    outcome.response.coalesced = waiter.coalesced;
+    outcome.response.queue_seconds = seconds_between(waiter.submitted, started);
+    outcome.response.total_seconds =
+        seconds_between(waiter.submitted, finished);
+    impl.completed.fetch_add(1, std::memory_order_relaxed);
+    if (plan->degraded)
+      impl.degraded_served.fetch_add(1, std::memory_order_relaxed);
+    waiter.done(std::move(outcome));
   }
 }
 

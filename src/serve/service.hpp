@@ -3,7 +3,7 @@
 // Turns the one-request-per-call planners of core/ into a shared,
 // thread-safe serving stack:
 //
-//   submit() ──> canonical key ──> plan cache ──hit──> ready future
+//   submit() ──> canonical key ──> plan cache ──hit──> answered inline
 //                     │ miss
 //                     ├──> identical request already in flight?
 //                     │        └── yes: attach to it (coalescing) — the
@@ -11,13 +11,19 @@
 //                     │            waiter receives the same shared result
 //                     └──> bounded FIFO queue (admission control: a full
 //                          queue rejects at submit, it never blocks)
-//                               │
-//                  fixed worker pool: plan, certify (Theorem 2), insert
-//                  into the cache, resolve every waiter
+//                               │  at most `workers` jobs at a time
+//                  one task per job on the process-wide executor
+//                  (util/executor.hpp): plan, certify (Theorem 2), insert
+//                  into the cache, answer every waiter
+//
+// The service owns no planner threads.  Each admitted job runs as one
+// executor task; `workers` caps how many of this service's jobs run at
+// once, and a finished job starts the next queued one.  Several services
+// in one process share the executor's threads in FIFO order.
 //
 // Deadlines: a request may carry a per-request deadline (or inherit the
-// service default).  A request whose deadline has passed when a worker
-// dequeues it is rejected with DeadlineExpiredError without touching the
+// service default).  A request whose deadline has passed when its job
+// starts is rejected with DeadlineExpiredError without touching the
 // planner — expired requests are never half-planned and never enter the
 // cache.  An expired-at-submit request is only admitted if the cache can
 // serve it instantly.
@@ -42,6 +48,9 @@
 #pragma once
 
 #include <array>
+#include <chrono>
+#include <exception>
+#include <functional>
 #include <future>
 #include <optional>
 #include <stdexcept>
@@ -54,8 +63,13 @@
 
 namespace foscil::serve {
 
+struct InFlightRequest;
+
 struct ServiceOptions {
-  unsigned workers = 0;             ///< 0 = hardware_parallelism()
+  /// Most of this service's plans that run at once (each on an executor
+  /// thread; the executor grows to at least this many threads).
+  /// 0 = hardware_parallelism().
+  unsigned workers = 0;
   std::size_t queue_capacity = 256; ///< pending (not yet started) requests
   std::size_t cache_capacity = 1024;
   std::size_t cache_shards = 8;
@@ -73,7 +87,7 @@ struct ServiceOptions {
   /// many seconds, so a crash loses at most one period of cached plans.
   double snapshot_period_s = 0.0;
   /// When true (the default) a configured snapshot_path is warm-loaded in
-  /// the constructor, before any worker starts.  The network front end
+  /// the constructor, before any request is admitted.  The network front end
   /// (serve/net/server.hpp) sets this false so it can open its listening
   /// socket first and answer READY=false while it restores — warm-up
   /// becomes an externally observable state instead of silent startup
@@ -96,9 +110,21 @@ struct PlanResponse {
   std::shared_ptr<const ServedPlan> plan;
   bool cache_hit = false;   ///< served from the cache without planning
   bool coalesced = false;   ///< attached to an identical in-flight request
-  double queue_seconds = 0.0;  ///< submit -> worker pickup (0 on fast path)
+  double queue_seconds = 0.0;  ///< submit -> job start (0 on fast path)
   double total_seconds = 0.0;  ///< submit -> response ready
 };
+
+/// What the callback form of PlanningService::submit delivers: the
+/// response, or the error that failed the request after admission.
+struct PlanOutcome {
+  PlanResponse response;
+  std::exception_ptr error;  ///< set instead of `response` on failure
+};
+
+/// Completion callback: called exactly once per admitted request, inline
+/// within submit() for a cache hit and on an executor thread otherwise.
+/// It must not throw, and must not block on other plans.
+using PlanCallback = std::function<void(PlanOutcome)>;
 
 struct ServiceStats {
   std::uint64_t submitted = 0;
@@ -120,7 +146,7 @@ struct ServiceStats {
   std::uint64_t overload_transitions = 0;   ///< ladder state changes
   LoadState load_state = LoadState::kNormal;
   std::size_t queue_peak = 0;
-  std::size_t workers = 0;
+  std::size_t workers = 0;  ///< cap on concurrently running plans
   CacheStats cache;
   /// EWMA of recent planner wall times and the retry-after hint it implies
   /// at the current queue depth — the same hint OverloadedError (and the
@@ -137,7 +163,8 @@ struct ServiceStats {
   std::array<std::uint64_t, kStatusCodeCount> rejections_by_code{};
 };
 
-/// Fixed-pool planning service.  All public methods are thread-safe.
+/// Planning service on the process-wide executor.  All public methods are
+/// thread-safe.
 class PlanningService {
  public:
   explicit PlanningService(ServiceOptions options = {});
@@ -153,8 +180,15 @@ class PlanningService {
   /// are delivered through the future.
   [[nodiscard]] std::future<PlanResponse> submit(PlanRequest request);
 
-  /// Stop accepting work, drain the queue, join the workers, and (when a
-  /// snapshot path is configured) flush a final snapshot.  Idempotent.
+  /// Callback form of submit(): the same admission, with the response (or
+  /// the post-admission error) handed to `on_done` instead of a future.
+  /// Submit-time rejections still throw, and then `on_done` is never
+  /// called.
+  void submit(PlanRequest request, PlanCallback on_done);
+
+  /// Stop accepting work, wait until every admitted request is answered
+  /// (queued jobs included), and (when a snapshot path is configured)
+  /// flush a final snapshot.  Idempotent.
   void stop();
 
   /// Serialize the current cache contents (and the identify state, if one
@@ -190,17 +224,19 @@ class PlanningService {
 
  private:
   struct Impl;
-  void worker_loop();
+  void start(std::shared_ptr<InFlightRequest> job);
+  void run_job(const std::shared_ptr<InFlightRequest>& job);
+  void plan_and_answer(const std::shared_ptr<InFlightRequest>& job,
+                       std::chrono::steady_clock::time_point started);
   void snapshot_loop();
 
   PlanCache cache_;
   std::unique_ptr<Impl> impl_;
-  std::vector<std::thread> threads_;
   std::thread snapshot_thread_;
 };
 
 /// Plan one request directly on the calling thread — the planner run plus
-/// the Theorem-2 certificate, exactly as a service worker would compute it,
+/// the Theorem-2 certificate, exactly as a service job would compute it,
 /// but with no cache, queue, or coalescing.  This is the serial baseline
 /// for benchmarking and the oracle for the differential tests.
 /// `degraded` stamps the plan and its key with the degraded bit; the

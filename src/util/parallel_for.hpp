@@ -1,90 +1,127 @@
-// Minimal shared-memory fork/join helper.
+// Shared-memory fork/join on the process-wide executor (util/executor.hpp).
 //
 // The benches sweep large design spaces (EXS enumerates |levels|^N
-// single-mode assignments; Fig. 3 sweeps thousands of schedule phases).
-// Those loops are embarrassingly parallel, so we provide a static-partition
-// parallel_for over [0, n) in the OpenMP "parallel for schedule(static)"
-// spirit, built on std::thread only (no runtime dependency).
+// single-mode assignments; Fig. 3 sweeps thousands of schedule phases) and
+// AO scans its candidates in parallel.  parallel_for splits [0, n) into
+// contiguous chunks, in the OpenMP "schedule(static)" spirit, and runs them
+// on the executor's persistent workers; no thread is created per call.
+//
+// How a call fans out:
+//   * chunk boundaries depend only on the arguments: `threads` chunks when
+//     it is given, kAutoChunks when it is 0, never more than n;
+//   * the caller claims chunks itself, and up to
+//     min(spare workers, chunks - 1, hardware_parallelism() - 1) idle
+//     executor workers claim the rest.  With no idle worker (say, every
+//     thread is planning) the caller runs every chunk inline, so a nested
+//     call cannot deadlock and a busy process is not oversubscribed.
+//
+// parallel_reduce folds each chunk into its own accumulator and joins them
+// in chunk order, so its result depends on (n, threads) only — never on how
+// many workers happened to help.
 //
 // Exceptions thrown by the body are captured and rethrown on the caller
-// thread (first one wins), so contract violations inside workers are not
-// lost.
+// thread (first one wins; chunks not yet started are skipped), so contract
+// violations inside workers are not lost.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
+
+#include "util/executor.hpp"
 
 namespace foscil {
 
-/// Number of workers parallel_for will use by default.
-inline unsigned hardware_parallelism() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1u : hw;
-}
+/// Chunks a parallel_for with threads = 0 splits its range into: enough
+/// for dynamic claiming to balance uneven chunks across any worker count.
+inline constexpr std::size_t kAutoChunks = 64;
 
-/// Invoke `body(i)` for every i in [0, n), split contiguously across up to
-/// `threads` workers.  Runs inline when n is small or one worker suffices.
+namespace detail {
+
+/// Runs chunk `chunk` of a fan-out; `context` points at the caller's lambda.
+using ChunkFn = void (*)(const void* context, std::size_t chunk);
+
+/// Run chunks [0, chunks), the caller and idle executor workers claiming
+/// them in index order; returns once every chunk finished.  Rethrows the
+/// first exception a chunk raised.
+void fork_join(std::size_t chunks, ChunkFn run, const void* context);
+
+/// The contiguous chunk layout of one call.
+struct Chunking {
+  Chunking(std::size_t range, unsigned threads) : n(range) {
+    const std::size_t wanted =
+        std::min<std::size_t>(threads == 0 ? kAutoChunks : threads, n);
+    size = (n + wanted - 1) / wanted;
+    count = (n + size - 1) / size;
+  }
+
+  std::size_t n;          ///< the range [0, n), n >= 1
+  std::size_t size = 1;   ///< indices per chunk (the last may hold fewer)
+  std::size_t count = 1;  ///< chunks
+
+  [[nodiscard]] std::size_t begin(std::size_t chunk) const {
+    return chunk * size;
+  }
+  [[nodiscard]] std::size_t end(std::size_t chunk) const {
+    return std::min(n, begin(chunk) + size);
+  }
+};
+
+/// Invoke `body(chunk, begin, end)` for every chunk of `chunking`.
 template <typename Body>
-void parallel_for(std::size_t n, const Body& body,
-                  unsigned threads = hardware_parallelism()) {
-  if (n == 0) return;
-  const std::size_t workers =
-      std::min<std::size_t>(std::max(1u, threads), n);
-  if (workers == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  const std::size_t chunk = (n + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back([&, begin, end] {
-      try {
-        for (std::size_t i = begin; i < end; ++i) body(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+void for_each_chunk(const Chunking& chunking, const Body& body) {
+  const auto run = [&](std::size_t chunk) {
+    body(chunk, chunking.begin(chunk), chunking.end(chunk));
+  };
+  fork_join(
+      chunking.count,
+      [](const void* context, std::size_t chunk) {
+        (*static_cast<const decltype(run)*>(context))(chunk);
+      },
+      &run);
 }
 
-/// Parallel reduction: each worker folds its range with `body(i, acc)` into a
-/// local accumulator (initialized from `init`), then locals are combined with
-/// `join` in index order so results are deterministic.
+}  // namespace detail
+
+/// Invoke `body(begin, end)` once per chunk of [0, n).  `threads` fixes the
+/// chunk count (1 runs inline on the caller); 0 lets the executor decide.
+template <typename Body>
+void parallel_for_ranges(std::size_t n, const Body& body,
+                         unsigned threads = 0) {
+  if (n == 0) return;
+  detail::for_each_chunk(
+      detail::Chunking(n, threads),
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        body(begin, end);
+      });
+}
+
+/// Invoke `body(i)` for every i in [0, n), chunked as parallel_for_ranges.
+template <typename Body>
+void parallel_for(std::size_t n, const Body& body, unsigned threads = 0) {
+  parallel_for_ranges(
+      n,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) body(i);
+      },
+      threads);
+}
+
+/// Parallel reduction: each chunk folds its range with `body(i, acc)` into a
+/// local accumulator (initialized from `init`), then locals are combined
+/// with `join` in index order so results are deterministic.
 template <typename Acc, typename Body, typename Join>
 Acc parallel_reduce(std::size_t n, Acc init, const Body& body,
-                    const Join& join,
-                    unsigned threads = hardware_parallelism()) {
+                    const Join& join, unsigned threads = 0) {
   if (n == 0) return init;
-  const std::size_t workers =
-      std::min<std::size_t>(std::max(1u, threads), n);
-  std::vector<Acc> locals(workers, init);
-  parallel_for(
-      workers,
-      [&](std::size_t w) {
-        const std::size_t chunk = (n + workers - 1) / workers;
-        const std::size_t begin = w * chunk;
-        const std::size_t end = std::min(n, begin + chunk);
+  const detail::Chunking chunking(n, threads);
+  std::vector<Acc> locals(chunking.count, init);
+  detail::for_each_chunk(
+      chunking, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         Acc acc = init;
         for (std::size_t i = begin; i < end; ++i) acc = body(i, acc);
-        locals[w] = acc;
-      },
-      static_cast<unsigned>(workers));
+        locals[chunk] = acc;
+      });
   Acc result = init;
   for (const auto& acc : locals) result = join(result, acc);
   return result;

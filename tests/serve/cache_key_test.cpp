@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <new>
 
 #include "serve/cache_key.hpp"
 #include "../test_support.hpp"
@@ -113,6 +115,58 @@ TEST(CacheKey, NanInputViolatesContract) {
 TEST(CacheKey, ModelFingerprintIsStableAcrossCalls) {
   const core::Platform p = platform_a();
   EXPECT_EQ(model_fingerprint(*p.model), model_fingerprint(*p.model));
+}
+
+TEST(CacheKey, MemoizedDigestMatchesTheFullHash) {
+  const core::Platform p = testing::grid_platform(3, 3);
+  EXPECT_EQ(memoized_model_fingerprint(p.model), model_fingerprint(*p.model));
+  EXPECT_EQ(memoized_model_fingerprint(p.model), model_fingerprint(*p.model));
+  EXPECT_EQ(plan_key(p, 55.0, PlannerKind::kAo, {}),
+            plan_key(model_fingerprint(*p.model), p, 55.0, PlannerKind::kAo,
+                     {}));
+}
+
+TEST(CacheKey, ContentEqualModelsAtDifferentAddressesShareAKey) {
+  const core::Platform p1 = platform_a();
+  const core::Platform p2 = platform_a();
+  ASSERT_NE(p1.model.get(), p2.model.get());
+  // Each model gets its own memo entry; the digests are still equal.
+  EXPECT_EQ(memoized_model_fingerprint(p1.model),
+            memoized_model_fingerprint(p2.model));
+  EXPECT_EQ(plan_key(p1, 55.0, PlannerKind::kAo, {}),
+            plan_key(p2, 55.0, PlannerKind::kAo, {}));
+  EXPECT_EQ(platform_fingerprint(p1), platform_fingerprint(p2));
+}
+
+TEST(CacheKey, NewModelAtADeadModelsAddressGetsItsOwnDigest) {
+  // Build two different models in the same storage, one after the other,
+  // so the second reuses the first one's address exactly.
+  alignas(thermal::ThermalModel) unsigned char
+      storage[sizeof(thermal::ThermalModel)];
+  const auto in_storage = [&](const thermal::ThermalModel& contents) {
+    const auto* model = new (storage) thermal::ThermalModel(
+        contents.network(), contents.power());
+    return std::shared_ptr<const thermal::ThermalModel>(
+        model, [](const thermal::ThermalModel* dead) {
+          dead->~ThermalModel();
+        });
+  };
+  const core::Platform small = platform_a();
+  const core::Platform large = testing::grid_platform(2, 3);
+  ASSERT_NE(model_fingerprint(*small.model), model_fingerprint(*large.model));
+
+  CacheKey first{};
+  {
+    const auto model = in_storage(*small.model);
+    first = memoized_model_fingerprint(model);
+    EXPECT_EQ(first, model_fingerprint(*small.model));
+  }
+  const auto reused = in_storage(*large.model);
+  EXPECT_EQ(static_cast<const void*>(reused.get()),
+            static_cast<const void*>(storage));
+  const CacheKey second = memoized_model_fingerprint(reused);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second, model_fingerprint(*large.model));
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 // generators used across the sim / theorem / scheduler suites.
 #pragma once
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 
 #include "core/platform.hpp"
 #include "sched/schedule.hpp"
 #include "sched/transforms.hpp"
+#include "util/executor.hpp"
 #include "util/rng.hpp"
 
 namespace foscil::testing {
@@ -42,5 +45,45 @@ inline sched::PeriodicSchedule random_step_up_schedule(
   return sched::to_step_up(
       random_schedule(rng, cores, period, max_segments, levels));
 }
+
+/// Holds every executor worker busy from construction until release() or
+/// destruction, so fan-outs run inline on their callers and service jobs
+/// wait in the executor's queue.  Construct it after any service whose
+/// `workers` could grow the executor.
+class ExecutorSaturation {
+ public:
+  ExecutorSaturation() : state_(std::make_shared<State>()) {
+    Executor& executor = Executor::instance();
+    const std::size_t workers = executor.size();
+    for (std::size_t w = 0; w < workers; ++w)
+      executor.post([state = state_] {
+        std::unique_lock<std::mutex> lock(state->mutex);
+        ++state->started;
+        state->changed.notify_all();
+        state->changed.wait(lock, [&] { return state->released; });
+      });
+    std::unique_lock<std::mutex> lock(state_->mutex);
+    state_->changed.wait(lock,
+                         [&] { return state_->started == workers; });
+  }
+  ~ExecutorSaturation() { release(); }
+  ExecutorSaturation(const ExecutorSaturation&) = delete;
+  ExecutorSaturation& operator=(const ExecutorSaturation&) = delete;
+
+  void release() {
+    const std::lock_guard<std::mutex> lock(state_->mutex);
+    state_->released = true;
+    state_->changed.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::size_t started = 0;  // guarded by mutex
+    bool released = false;    // guarded by mutex
+  };
+  std::shared_ptr<State> state_;
+};
 
 }  // namespace foscil::testing
